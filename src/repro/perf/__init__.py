@@ -1,16 +1,17 @@
-"""Performance layer: shared memoized program artifacts and parallel fan-out.
+"""Performance layer: shared memoized program artifacts and executor knobs.
 
 :class:`ProgramIndex` materializes per-method analysis artifacts (CFGs,
 def-use chains, statement reachability, mention sites, the global field
-read/write index) exactly once per program and shares them — thread-safely —
-between both taint directions, the :class:`~repro.slicing.slicer.NetworkSlicer`
-and the :class:`~repro.signature.builder.SignatureInterpreter`.
+read/write index) once per analysis and shares them between both taint
+directions, the :class:`~repro.slicing.slicer.NetworkSlicer` and the
+:class:`~repro.signature.builder.SignatureInterpreter`.
 
-:mod:`repro.perf.parallel` provides the deterministic executor helpers the
-slicer and the evaluation runner fan out over.
+:mod:`repro.perf.parallel` holds the worker/executor knobs the batch
+engines size themselves with and the ordered thread map ``repro eval``
+fans out across apps with.
 """
 
 from .index import ProgramIndex, field_key
-from .parallel import ordered_map, resolve_workers
+from .parallel import resolve_workers, run_map
 
-__all__ = ["ProgramIndex", "field_key", "ordered_map", "resolve_workers"]
+__all__ = ["ProgramIndex", "field_key", "resolve_workers", "run_map"]

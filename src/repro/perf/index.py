@@ -1,21 +1,19 @@
 """Shared, memoized per-method analysis artifacts.
 
-The serial pipeline recomputes (or independently caches) control-flow
-graphs, def-use chains, reachability sets and the heap field index in each
-consumer.  :class:`ProgramIndex` is the compute-once variant: every artifact
-is keyed by method id, built lazily under a lock, and shared by the taint
-engine (both directions), the network slicer's object-aware augmentation and
-the signature interpreter.  All artifacts are derived from immutable IR, so
-a built entry is valid for the lifetime of the program object.
+:class:`ProgramIndex` computes control-flow graphs, def-use chains,
+reachability and the heap field index once per analysis: every artifact is
+keyed by method id, built lazily on first request, and shared by the taint
+engine (both directions), the network slicer's object-aware augmentation
+and the signature interpreter.  All artifacts are derived from immutable
+IR, so a built entry is valid for the lifetime of the program object.  One
+index serves one analysis in one thread; parallelism happens across apps.
 
 Reachability is stored as bitmasks (one int per statement; bit ``j`` set
-when statement ``j`` is reachable from statement ``i``, reflexively) — the
-same relation as ``TaintEngine._reach`` but cheaper to build and to query.
+when statement ``j`` is reachable from statement ``i``, reflexively).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, TypeVar
 
 from ..cfg.callgraph import CallGraph
@@ -66,7 +64,7 @@ def compute_reach_masks(cfg: ControlFlowGraph, n_statements: int) -> list[int]:
 
 
 class ProgramIndex:
-    """Thread-safe memo of per-method artifacts plus program-wide indexes.
+    """Memo of per-method artifacts plus program-wide indexes.
 
     Per-method (lazy, built on first request):
 
@@ -85,7 +83,6 @@ class ProgramIndex:
     def __init__(self, program: Program, callgraph: CallGraph | None = None) -> None:
         self.program = program
         self.callgraph = callgraph
-        self._lock = threading.RLock()
         self._cfgs: dict[str, ControlFlowGraph] = {}
         self._defuse: dict[str, DefUseInfo] = {}
         self._reach: dict[str, list[int]] = {}
@@ -97,32 +94,14 @@ class ProgramIndex:
         self._rpo: dict[str, list[int]] = {}
         self._fields: tuple[dict, dict] | None = None
 
-    # ------------------------------------------------------------- pickling
-    def __getstate__(self) -> dict:
-        """Locks don't pickle; everything else — including already-warm
-        memo tables — ships as-is, so spawn workers inherit whatever the
-        parent built before the pool was created (the index is shipped to
-        each worker exactly once)."""
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
     # ------------------------------------------------------------- memo core
     def _memo(
         self, cache: dict[str, T], method: Method, build: Callable[[Method], T]
     ) -> T:
         got = cache.get(method.method_id)
-        if got is not None:
-            return got
-        with self._lock:
-            got = cache.get(method.method_id)
-            if got is None:
-                got = build(method)
-                cache[method.method_id] = got
+        if got is None:
+            got = build(method)
+            cache[method.method_id] = got
         return got
 
     # ------------------------------------------------------------ per-method
@@ -246,9 +225,7 @@ class ProgramIndex:
     @property
     def field_stores(self) -> dict[tuple[str, str], list[StmtRef]]:
         if self._fields is None:
-            with self._lock:
-                if self._fields is None:
-                    self._fields = self._build_fields()
+            self._fields = self._build_fields()
         return self._fields[0]
 
     @property
@@ -258,9 +235,9 @@ class ProgramIndex:
         return self._fields[1]
 
     # -------------------------------------------------------------- warm-up
-    def warm(self, method_ids: set[str] | None = None) -> int:
-        """Eagerly build artifacts (field index always; per-method artifacts
-        for ``method_ids``, or every method with a body when None).
+    def warm(self, method_ids: set[str]) -> int:
+        """Eagerly build the field index and the per-method artifacts of
+        ``method_ids``.
 
         Targeted mode passes its demand-driven region here — the memos
         stay lazy for everything else, so a method outside the region
@@ -268,47 +245,19 @@ class ProgramIndex:
         the number of methods warmed.
         """
         self.field_stores
-        if method_ids is None:
-            methods = [m for m in self.program.methods() if m.body is not None]
-        else:
-            methods = []
-            for mid in method_ids:
-                try:
-                    m = self.program.method_by_id(mid)
-                except KeyError:
-                    continue
-                if m.body is not None:
-                    methods.append(m)
+        methods = []
+        for mid in method_ids:
+            try:
+                m = self.program.method_by_id(mid)
+            except KeyError:
+                continue
+            if m.body is not None:
+                methods.append(m)
         for m in methods:
             self.reach_masks(m)
             self.defuse_of(m)
             self.mention_sites(m)
         return len(methods)
-
-    def invalidate(self, method_ids: set[str]) -> None:
-        """Drop the per-method memos of ``method_ids`` (plus the
-        program-wide heap index, which any of them may contribute to).
-
-        The fingerprint-aware reuse hook: a session re-analyzing a
-        mutated program keeps one index alive and evicts exactly the
-        methods whose fingerprints changed instead of rebuilding from
-        scratch.
-        """
-        with self._lock:
-            for mid in method_ids:
-                for memo in (
-                    self._cfgs,
-                    self._defuse,
-                    self._reach,
-                    self._reach_to,
-                    self._mentions,
-                    self._mention_masks,
-                    self._stmt_locals,
-                    self._loops,
-                    self._rpo,
-                ):
-                    memo.pop(mid, None)
-            self._fields = None
 
 
 __all__ = ["ProgramIndex", "compute_reach_masks", "field_key"]

@@ -1,27 +1,21 @@
-"""Deterministic parallel fan-out helpers.
+"""Executor knobs and the deterministic thread map.
 
-:func:`run_map` is the one primitive every parallel stage routes through:
-it applies ``fn`` to each item with the selected executor and returns
-results **in input order**, so reports produced from the result list are
-identical to a serial run.  Executors:
+Parallelism happens across apps only: the batch engines
+(:mod:`repro.service.jobs`, :mod:`repro.service.shard`), ``repro eval``
+and the fleet-index build size themselves with :func:`resolve_workers`
+and pick an engine with :func:`resolve_executor`:
 
-* ``"serial"`` — a plain loop (the reference engine's path);
-* ``"thread"`` — a thread pool, clamped to the usable core count (more
-  GIL-bound threads than cores only add convoy overhead);
-* ``"process"`` — a :class:`~repro.perf.procpool.ProcPool`: fork workers
-  inherit ``fn`` and any state it closes over for free, spawn workers
-  receive it pickled once.  When no process pool can be built the call
-  degrades to threads *audibly*: an ``executor_fallbacks`` counter on the
-  global metrics registry plus a one-time ``RuntimeWarning``;
+* ``"serial"`` — a plain loop;
+* ``"thread"`` — a thread pool;
+* ``"process"`` — worker processes (the sharded batch engine);
 * ``"auto"`` — :func:`default_executor`: process where fork is available,
   thread otherwise.
 
-Every map accepts an optional ``span`` (see :mod:`repro.obs.tracer`): when
-given, each work item gets a ``<label>-<i>`` child span carrying its wall
-time.  The spans are created *after* the pool drains, in input order, so
-traced runs stay deterministic regardless of scheduling.  For process
-executors the per-item times are measured inside the worker and carried
-back with the results (see :class:`~repro.perf.procpool.SpanRecord`).
+:func:`run_map` applies ``fn`` to each item and returns results **in input
+order**.  It accepts an optional ``span`` (see :mod:`repro.obs.tracer`):
+when given, each work item gets a ``<label>-<i>`` child span carrying its
+wall time, created after the pool drains, in input order, so traced runs
+stay deterministic regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -30,11 +24,9 @@ import multiprocessing
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Callable, Iterable, Sequence, TypeVar
-
-from .procpool import PoolUnavailable, ProcPool
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -62,15 +54,6 @@ def resolve_workers(workers: int | None) -> int:
     return max(1, workers)
 
 
-def fanout_width(workers: int | None) -> int:
-    """Effective *thread* fan-out for CPU-bound pure-Python stages: more
-    threads than cores never helps (the GIL serialises them and the convoy
-    overhead makes large inputs slower), so clamp to the usable core count.
-    The raw worker count still selects the engine (see ``AnalysisConfig``)
-    and sizes process pools, which have no GIL ceiling."""
-    return max(1, min(resolve_workers(workers), usable_cpus()))
-
-
 def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -94,44 +77,18 @@ def resolve_executor(executor: str | None) -> str:
     return executor
 
 
-# ------------------------------------------------------- fallback accounting
 _fallback_warned = False
-_fallback_audible = True
-_fallback_reasons: list[str] = []
-
-
-def silence_fallback_warnings() -> None:
-    """Suppress the audible one-time ``RuntimeWarning`` in *this* process
-    (counting and reason capture continue).  Shard worker processes call
-    this so an N-worker fleet doesn't re-emit the same warning N times on
-    stderr; the coordinator collects the reasons via
-    :func:`take_fallback_reasons` and surfaces them once, through the run
-    ledger."""
-    global _fallback_audible
-    _fallback_audible = False
-
-
-def take_fallback_reasons() -> list[str]:
-    """Drain the fallback reasons recorded in this process since the last
-    call (deduplicated, first-seen order)."""
-    global _fallback_reasons
-    reasons, _fallback_reasons = _fallback_reasons, []
-    return list(dict.fromkeys(reasons))
 
 
 def note_executor_fallback(reason: str) -> None:
     """Record a process→thread executor degradation: bump the
-    ``executor_fallbacks`` counter on the global metrics registry, remember
-    the reason, and warn once per process (silent degradation hid
-    single-core-equivalent behaviour for the whole life of the fork side
-    path).  Processes that report the degradation through another channel
-    mute the warning with :func:`silence_fallback_warnings`."""
+    ``executor_fallbacks`` counter on the global metrics registry and warn
+    once per process, so a batch that lost its process engine says so."""
     global _fallback_warned
     from ..obs.metrics import global_registry
 
     global_registry().counter("executor_fallbacks").inc()
-    _fallback_reasons.append(reason)
-    if _fallback_audible and not _fallback_warned:
+    if not _fallback_warned:
         _fallback_warned = True
         warnings.warn(
             f"process executor unavailable ({reason}); falling back to "
@@ -142,7 +99,6 @@ def note_executor_fallback(reason: str) -> None:
 
 
 def _timed_call(fn: Callable[[T], R], item: T) -> tuple[R, float]:
-    """Module-level so it survives pickling into forked workers."""
     t0 = time.perf_counter()
     result = fn(item)
     return result, time.perf_counter() - t0
@@ -157,12 +113,6 @@ def _record_worker_spans(span, timed: list[tuple[R, float]], label: str) -> list
         child.seconds = secs
         results.append(result)
     return results
-
-
-def _serial_map(fn, seq, span, label):
-    if span is None or not span:
-        return [fn(item) for item in seq]
-    return _record_worker_spans(span, [_timed_call(fn, item) for item in seq], label)
 
 
 def thread_map(
@@ -180,98 +130,34 @@ def thread_map(
     return _record_worker_spans(span, timed, label)
 
 
-def forked_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    *,
-    workers: int,
-    span=None,
-    label: str = "worker",
-) -> list[R]:
-    """One-shot process-pool map via ``fork`` so workers inherit the
-    parent's program state without pickling it; only ``items`` and results
-    cross the pipe.  Raises ``ValueError`` where fork is unavailable.
-    Prefer :func:`run_map` (or a persistent
-    :class:`~repro.perf.procpool.ProcPool`) in new code."""
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(max_workers=min(workers, len(items)), mp_context=ctx) as pool:
-        if span is None or not span:
-            return list(pool.map(fn, items))
-        timed = list(pool.map(partial(_timed_call, fn), items))
-    return _record_worker_spans(span, timed, label)
-
-
-def _apply_payload(payload, item):
-    """ProcPool task for :func:`run_map`: the payload *is* the mapped fn."""
-    return payload(item)
-
-
 def run_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     *,
     workers: int = 1,
-    executor: str = "auto",
     span=None,
     label: str = "worker",
-    start_method: str | None = None,
 ) -> list[R]:
-    """Apply ``fn`` over ``items`` with ``workers`` concurrency under the
-    selected ``executor`` (see module docstring), preserving input order.
-
-    The process executor ships ``fn`` itself as the pool payload: fork
-    workers inherit it (closures welcome), spawn workers need it picklable
-    — when neither works the call falls back to threads and says so
-    (:func:`note_executor_fallback`).
-    """
+    """Apply ``fn`` over ``items``, preserving input order: a plain loop
+    for one worker, else a thread pool clamped to the usable core count
+    (more GIL-bound threads than cores only add convoy overhead)."""
     seq = list(items)
-    workers = resolve_workers(workers)
-    engine = resolve_executor(executor)
-    if engine == "serial" or workers <= 1 or len(seq) <= 1:
-        return _serial_map(fn, seq, span, label)
-    if engine == "process":
-        try:
-            with ProcPool(
-                fn, workers=min(workers, len(seq)), start_method=start_method
-            ) as pool:
-                return pool.map(_apply_payload, seq, span=span, label=label)
-        except PoolUnavailable as exc:
-            note_executor_fallback(str(exc))
-    width = fanout_width(workers)
-    if width <= 1:
-        return _serial_map(fn, seq, span, label)
-    return thread_map(fn, seq, workers=width, span=span, label=label)
-
-
-def ordered_map(
-    fn: Callable[[T], R],
-    items: Iterable[T],
-    *,
-    workers: int = 1,
-    executor: str = "thread",
-    span=None,
-    label: str = "worker",
-) -> list[R]:
-    """Backwards-compatible alias of :func:`run_map` whose executor
-    defaults to ``"thread"`` (the pre-process-engine behaviour)."""
-    return run_map(
-        fn, items, workers=workers, executor=executor, span=span, label=label
-    )
+    width = min(resolve_workers(workers), usable_cpus(), len(seq))
+    if width > 1:
+        return thread_map(fn, seq, workers=width, span=span, label=label)
+    if span is None or not span:
+        return [fn(item) for item in seq]
+    return _record_worker_spans(span, [_timed_call(fn, item) for item in seq], label)
 
 
 __all__ = [
     "EXECUTORS",
     "default_executor",
-    "fanout_width",
     "fork_available",
-    "forked_map",
     "note_executor_fallback",
-    "ordered_map",
     "resolve_executor",
     "resolve_workers",
     "run_map",
-    "silence_fallback_warnings",
-    "take_fallback_reasons",
     "thread_map",
     "usable_cpus",
 ]

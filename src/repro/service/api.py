@@ -357,6 +357,10 @@ def _make_handler(service: AnalysisService):
     class Handler(BaseHTTPRequestHandler):
         server_version = "repro-service/1"
         protocol_version = "HTTP/1.1"
+        # headers and body go out in two writes; with Nagle on, the body
+        # of every reply after the first on a kept-alive connection waits
+        # for the client's delayed ACK (~40 ms)
+        disable_nagle_algorithm = True
 
         # silence per-request stderr logging; metrics cover observability
         def log_message(self, fmt, *args) -> None:

@@ -2,9 +2,9 @@
 
 The scheduler turns ``Extractocol.analyze`` into a managed workload:
 
-* a **bounded queue** feeding a **thread worker pool** (sized with the same
-  :func:`repro.perf.parallel.resolve_workers` knob semantics as the
-  analysis engine: ``0`` means one worker per CPU),
+* a **bounded queue** feeding a **thread worker pool** (sized with
+  :func:`repro.perf.parallel.resolve_workers`: ``0`` means one worker
+  per CPU),
 * **result-store integration** — a submit whose ``(apk digest, config
   key)`` is already stored completes immediately as a cache hit; a fresh
   result is written back on success,
@@ -341,6 +341,7 @@ class JobScheduler:
                     f"app key, a population spec, nor an .sapk bundle"
                 )
         engine = resolve_executor(self.executor)
+        fallback_reasons: list[str] = []
         if engine == "process":
             from .shard import run_sharded_batch
 
@@ -363,12 +364,13 @@ class JobScheduler:
                 )
             except RuntimeError as exc:
                 note_executor_fallback(str(exc))
+                fallback_reasons.append(str(exc))
             else:
                 return [r.to_dict() for r in records]
         if out_meta is not None:
             # the thread engine runs in-process: no worker telemetry dir
             out_meta.setdefault("run_id", run_id)
-            out_meta.setdefault("fallback_reasons", [])
+            out_meta["fallback_reasons"] = fallback_reasons
         jobs = [self.submit_target(t, overrides) for t in targets]
         out: list[dict] = []
         for done, (target, job) in enumerate(zip(targets, jobs), 1):

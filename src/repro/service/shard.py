@@ -1,10 +1,10 @@
 """Process-sharded batch execution: work-stealing analyzer processes over
 one shared result store.
 
-The thread scheduler in :mod:`repro.service.jobs` tops out at the GIL for
-the same reason the in-app thread executor does — analyses are pure-Python
-CPU work.  :func:`run_sharded_batch` therefore shards a batch across ``N``
-analyzer *processes*:
+The thread scheduler in :mod:`repro.service.jobs` tops out at the GIL —
+analyses are pure-Python CPU work.  :func:`run_sharded_batch` therefore
+shards a batch across ``N`` analyzer *processes*, one analysis at a time
+in each:
 
 * **Static shards, dynamic stealing.**  Worker ``i`` owns the round-robin
   shard ``targets[i::N]`` as a deque: it pops its own work from the front,
@@ -25,12 +25,11 @@ analyzer *processes*:
   tracer or metrics registry, so every record travels back over the result
   queue with its wall time, attempt count and steal provenance; the parent
   folds them into its :class:`~repro.obs.metrics.MetricsRegistry` and
-  replays one ``job:<label>`` span per record (see
-  :class:`~repro.perf.procpool.SpanRecord` for the in-app analogue).
+  replays one ``job:<label>`` span per record.
 
-Reports written by sharded workers are byte-identical to thread-mode and
-serial output: the store's canonical JSON + the engine's differential
-tests guarantee it, and ``tests/test_service_shard.py`` asserts it.
+Reports written by sharded workers are byte-identical to thread-mode
+output: the store's canonical JSON guarantees it, and
+``tests/test_service_shard.py`` asserts it.
 """
 
 from __future__ import annotations
@@ -43,12 +42,22 @@ import uuid
 from collections import deque
 from dataclasses import dataclass, field
 
-from ..perf.procpool import default_start_method
-
 #: How long a worker waits (total) for another process's in-flight analysis
 #: of the same key before giving up and analysing itself.
 LEASE_WAIT_SECONDS = 60.0
 _LEASE_POLL = 0.02
+
+
+def default_start_method() -> str | None:
+    """``fork`` where available, else ``spawn``; honours the
+    ``REPRO_START_METHOD`` environment override (useful for exercising the
+    spawn path on fork-capable hosts)."""
+    supported = multiprocessing.get_all_start_methods()
+    methods = [m for m in ("fork", "spawn") if m in supported]
+    forced = os.environ.get("REPRO_START_METHOD")
+    if forced:
+        return forced if forced in methods else None
+    return methods[0] if methods else None
 
 
 @dataclass
@@ -162,12 +171,6 @@ def _process_item(
         record.label = target
         return record
     record.label = label
-    if config.resolved_executor == "process":
-        # The shard worker IS the process-level parallelism: it runs as a
-        # daemon and cannot fork children, and nesting pools would
-        # oversubscribe the host anyway.  Executor is an execution detail
-        # excluded from cache_key(), so the result key is unchanged.
-        config.executor = "thread"
 
     from ..apk.loader import apk_digest
 
@@ -275,12 +278,8 @@ def _shard_worker(
     ``job:<target>`` span — tagged with run/worker/shard correlation
     ids — under which the whole analysis trace nests.
     """
-    from ..perf.parallel import silence_fallback_warnings, take_fallback_reasons
     from .store import ResultStore
 
-    # one audible warning per *fleet*, not per worker: reasons travel back
-    # in the exit payload and the coordinator surfaces them once
-    silence_fallback_warnings()
     telemetry = None
     root_span = None
     if telemetry_dir is not None:
@@ -352,16 +351,7 @@ def _shard_worker(
                 except OSError:
                     pass  # telemetry must never take the batch down
             telemetry.heartbeat(status="exited", processed=done)
-        out_q.put(
-            (
-                "exit",
-                {
-                    "worker": worker_id,
-                    "processed": done,
-                    "fallback_reasons": take_fallback_reasons(),
-                },
-            )
-        )
+        out_q.put(("exit", {"worker": worker_id, "processed": done}))
 
 
 def run_sharded_batch(
@@ -395,15 +385,13 @@ def run_sharded_batch(
     a deterministic ``fleet.trace.jsonl``.  ``progress`` is called as
     ``progress(record, done, total)`` per completed entry (live, in
     completion order).  ``out_meta``, when given, is filled with the run's
-    side facts (run_id, telemetry/fleet-trace paths, deduplicated
-    executor-fallback reasons).
+    side facts (run_id, telemetry/fleet-trace paths).
     """
     from .store import ResultStore
 
     if not targets:
         if out_meta is not None:
             out_meta.setdefault("run_id", run_id)
-            out_meta.setdefault("fallback_reasons", [])
         return []
     workers = max(1, min(workers, len(targets)))
     batch_id = run_id or uuid.uuid4().hex[:12]
@@ -440,13 +428,11 @@ def run_sharded_batch(
 
     records: dict[int, ShardRecord] = {}
     crashes: list[dict] = []
-    fallback_reasons: list[str] = []
     exited = 0
     while exited < len(procs):
         kind, payload = out_q.get()
         if kind == "exit":
             exited += 1
-            fallback_reasons.extend(payload.get("fallback_reasons") or [])
         elif kind == "crash":
             crashes.append(payload)
         else:
@@ -460,13 +446,6 @@ def run_sharded_batch(
                 progress(record, len(records), len(targets))
     for p in procs:
         p.join()
-
-    fallback_reasons = list(dict.fromkeys(fallback_reasons))
-    if fallback_reasons:
-        # one audible line for the whole fleet (the workers were muted)
-        from ..perf.parallel import note_executor_fallback
-
-        note_executor_fallback(fallback_reasons[0])
 
     store = ResultStore(store_root)
     if cleanup_claims:
@@ -485,7 +464,6 @@ def run_sharded_batch(
         out_meta["run_id"] = batch_id
         out_meta["telemetry_dir"] = telemetry_dir
         out_meta["fleet_trace"] = fleet_trace
-        out_meta["fallback_reasons"] = fallback_reasons
 
     out: list[ShardRecord] = []
     for index, target in enumerate(targets):
@@ -542,6 +520,7 @@ def _fold_metrics(metrics, record: ShardRecord) -> None:
 __all__ = [
     "LEASE_WAIT_SECONDS",
     "ShardRecord",
+    "default_start_method",
     "run_sharded_batch",
     "shard_of",
 ]

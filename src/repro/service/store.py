@@ -1,9 +1,8 @@
 """Content-addressed on-disk result store.
 
 Analysis results are immutable functions of ``(APK content, semantic
-config)``: the parallel engine is differentially tested to produce
-byte-identical reports to the serial one, so a report computed once can be
-served forever.  The store therefore keys entries by
+config)``, so a report computed once can be served forever.  The store
+therefore keys entries by
 
     ``<sha256 of the canonical .sapk serialisation>-<AnalysisConfig.cache_key()>``
 

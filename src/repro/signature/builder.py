@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 
 from ..apk.resources import Resources
 from ..cfg.callgraph import CallGraph
-from ..cfg.cfg import cfg_of
-from ..cfg.dominators import loop_info, reverse_postorder
 from ..ir.method import Method
 from ..ir.program import Program
 from ..ir.statements import (
@@ -58,6 +56,7 @@ from ..ir.values import (
     Value,
 )
 from ..obs.tracer import NULL_SPAN
+from ..perf.index import ProgramIndex
 from ..semantics.avals import (
     AppObjAV,
     AVal,
@@ -148,6 +147,8 @@ class InterpResult:
     #: heap cells observed: (class, field) -> merged term (diagnostics)
     field_terms: dict[tuple[str, str], Term] = field(default_factory=dict)
     evaluated_methods: set[str] = field(default_factory=set)
+    #: calls cut at the call-depth budget (each returned UNKNOWN_ANY)
+    depth_cuts: int = 0
 
 
 class _Frame:
@@ -172,7 +173,7 @@ class SignatureInterpreter:
         relevant_methods: set[str] | None = None,
         blocked_field_stores: set[StmtRef] | None = None,
         rounds: int = 2,
-        index=None,
+        index: ProgramIndex | None = None,
     ) -> None:
         self.program = program
         self.callgraph = callgraph
@@ -181,9 +182,9 @@ class SignatureInterpreter:
         self.relevant_methods = relevant_methods
         self.blocked_field_stores = blocked_field_stores or set()
         self.rounds = rounds
-        #: optional repro.perf.ProgramIndex: memoizes CFGs, loop structure
-        #: and traversal order across rounds and re-evaluated methods
-        self.index = index
+        #: memoizes CFGs, loop structure and traversal order across rounds
+        #: and re-evaluated methods (shared with the slicer when passed in)
+        self.index = index or ProgramIndex(program, callgraph)
 
         # interpretation state (reset per run)
         self.call_stack: list[StmtRef] = []
@@ -198,6 +199,8 @@ class SignatureInterpreter:
         self._memo: dict[tuple, AVal] = {}
         self._active: set[tuple] = set()
         self._evaluated: set[str] = set()
+        #: calls not interpreted because they nest deeper than _MAX_DEPTH
+        self._depth_cuts = 0
 
     # ------------------------------------------------------------------ driver
     def run(self, roots: list[tuple[str, str]], *, span=NULL_SPAN) -> InterpResult:
@@ -244,6 +247,7 @@ class SignatureInterpreter:
         result = InterpResult(
             transactions=sorted(self._arrivals.values(), key=lambda t: t.txn_id),
             evaluated_methods=set(self._evaluated),
+            depth_cuts=self._depth_cuts,
         )
         for key, entries in self._field_store.items():
             terms = [to_term(v) for _, v in entries]
@@ -394,12 +398,13 @@ class SignatureInterpreter:
     ) -> AVal:
         if method.body is None:
             return UNKNOWN_ANY
-        if depth > _MAX_DEPTH:
-            return UNKNOWN_ANY
         if (
             self.relevant_methods is not None
             and method.method_id not in self.relevant_methods
         ):
+            return UNKNOWN_ANY
+        if depth > _MAX_DEPTH:
+            self._depth_cuts += 1
             return UNKNOWN_ANY
         key = (
             method.method_id,
@@ -423,18 +428,11 @@ class SignatureInterpreter:
     def _interpret_body(
         self, method: Method, this: AVal | None, args: list[AVal], depth: int
     ) -> AVal:
-        if self.index is not None:
-            cfg = self.index.cfg_of(method)
-            if not cfg.blocks:
-                return UNKNOWN_ANY
-            loops = self.index.loop_info(method)
-            rpo = self.index.rpo(method)
-        else:
-            cfg = cfg_of(method)
-            if not cfg.blocks:
-                return UNKNOWN_ANY
-            loops = loop_info(cfg)
-            rpo = reverse_postorder(cfg)
+        cfg = self.index.cfg_of(method)
+        if not cfg.blocks:
+            return UNKNOWN_ANY
+        loops = self.index.loop_info(method)
+        rpo = self.index.rpo(method)
         frame = _Frame(method)
         out_envs: dict[int, dict[str, AVal]] = {}
         header_in_prev: dict[int, dict[str, AVal]] = {}

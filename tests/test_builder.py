@@ -228,3 +228,59 @@ class TestEntrypointOrigins:
         result = interp.run([("<t.SearchApp: void search(java.lang.String)>", "ui")])
         uri = result.transactions[0].request.uri
         assert "user_input" in origins_of(uri)
+
+
+class TestCallDepthBudget:
+    """Calls nested deeper than the interpreter's budget evaluate to
+    UNKNOWN_ANY; each cut is counted as ``budget_call_depth`` in the
+    run's PhaseStats and on its ``phase:signatures`` span."""
+
+    def _deep_apk(self, depth: int):
+        from repro.apk import Apk, EntryPoint, Manifest, Resources, TriggerKind
+
+        pb = ProgramBuilder()
+        cb = pb.class_("t.Deep")
+        for k in range(depth):
+            m = cb.method(f"step{k}", static=True)
+            m.scall("t.Deep", f"step{k + 1}")
+            m.ret_void()
+        m = cb.method(f"step{depth}", static=True)
+        req = m.new("org.apache.http.client.methods.HttpGet",
+                    ["http://api.test/deep"], into="req")
+        client = m.local("client", "org.apache.http.client.HttpClient")
+        m.assign(client, None)
+        m.vcall(client, "execute", [req],
+                returns="org.apache.http.HttpResponse",
+                on="org.apache.http.client.HttpClient")
+        m.ret_void()
+        return Apk(
+            manifest=Manifest(package="t.deep", activities=["t.Deep"]),
+            program=pb.build(),
+            resources=Resources(),
+            entrypoints=[EntryPoint(method_id="<t.Deep: void step0()>",
+                                    kind=TriggerKind.UI, name="go")],
+        )
+
+    def _cuts(self, depth: int) -> tuple[int, int, int]:
+        from repro import AnalysisConfig, Extractocol
+        from repro.obs.tracer import Tracer
+
+        tracer = Tracer()
+        report = Extractocol(AnalysisConfig(), tracer=tracer).analyze(
+            self._deep_apk(depth)
+        )
+        span = next(s for s in tracer.root.walk()
+                    if s.name == "phase:signatures")
+        return (
+            report.phase_stats.counters.get("budget_call_depth", 0),
+            span.counters.get("budget_call_depth", 0),
+            len(report.transactions),
+        )
+
+    def test_25_deep_chain_counts_the_cut(self):
+        stats, span, txns = self._cuts(25)
+        assert stats >= 1 and span == stats
+        assert txns == 0  # the cut is why the transaction is missing
+
+    def test_24_deep_chain_is_within_budget(self):
+        assert self._cuts(24) == (0, 0, 1)

@@ -265,52 +265,6 @@ class TestShardedBatchTelemetry:
         assert not (tmp_path / "store" / "telemetry").exists()
 
 
-# -------------------------------------------------- fallback deduplication
-class TestFallbackDedup:
-    def test_silenced_fallbacks_collect_reasons(self):
-        from repro.perf import parallel
-
-        audible, warned = parallel._fallback_audible, parallel._fallback_warned
-        try:
-            parallel.take_fallback_reasons()  # drain
-            parallel.silence_fallback_warnings()
-            parallel._fallback_warned = False
-            import warnings as warnings_mod
-
-            with warnings_mod.catch_warnings():
-                warnings_mod.simplefilter("error")  # any warning would raise
-                parallel.note_executor_fallback("no fork here")
-                parallel.note_executor_fallback("no fork here")
-                parallel.note_executor_fallback("another reason")
-            assert parallel.take_fallback_reasons() == [
-                "no fork here", "another reason"
-            ]
-            assert parallel.take_fallback_reasons() == []
-        finally:
-            parallel._fallback_audible = audible
-            parallel._fallback_warned = warned
-
-    def test_sharded_batch_surfaces_worker_fallbacks_once(
-        self, tmp_path, monkeypatch
-    ):
-        # force every worker's in-app process pool to fail: each worker
-        # records a reason, but only the coordinator warns (exactly once)
-        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        meta: dict = {}
-        records = run_sharded_batch(
-            tmp_path / "store",
-            ["diode", "ted"],
-            workers=2,
-            overrides={"workers": 2, "executor": "process"},
-            start_method="fork",
-            out_meta=meta,
-        )
-        assert [r.status for r in records] == ["done", "done"]
-        # the workers forced executor=thread before analysis, so no
-        # fallback fired — the field is present and empty
-        assert meta["fallback_reasons"] == []
-
-
 if __name__ == "__main__":
     import sys
 

@@ -4,6 +4,7 @@ run), metrics, health and bundle upload."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
@@ -161,6 +162,23 @@ class TestOperationalEndpoints:
         assert metrics["gauges"]["queue_depth"] == 0
         assert metrics["histograms"]["analyze_seconds"]["count"] == 1
         assert metrics["store"]["writes"] == 1
+
+    def test_kept_alive_connection_replies_promptly(self, service):
+        """Ten sequential requests on one HTTP/1.1 connection: none may
+        wait out the client's delayed ACK (~40 ms with Nagle on)."""
+        host, port = service.address
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            for path in ("/healthz", "/metrics") * 5:
+                started = time.perf_counter()
+                conn.request("GET", path)
+                resp = conn.getresponse()
+                resp.read()
+                elapsed = time.perf_counter() - started
+                assert resp.status == 200, path
+                assert elapsed < 0.020, (path, elapsed)
+        finally:
+            conn.close()
 
     def test_error_paths(self, service):
         assert post(service, "/analyze", {"target": "not-an-app"})[0] == 404

@@ -11,15 +11,24 @@ blocks the jobs queued behind its backoff.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import threading
 import time
+import warnings
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.tracer import Tracer
+import repro.service.shard as shard
+from repro.perf import parallel
 from repro.service import JobScheduler, JobStatus, ResultStore
-from repro.service.shard import ShardRecord, run_sharded_batch, shard_of
+from repro.service.shard import (
+    ShardRecord,
+    default_start_method,
+    run_sharded_batch,
+    shard_of,
+)
 from repro.service.store import canonical_json
 
 TARGETS = ["diode", "ted", "tzm"]
@@ -152,6 +161,43 @@ def test_run_batch_routes_by_executor(tmp_path):
         assert all(keys <= set(r) for r in records), executor
         assert all(r["status"] == "done" for r in records)
         assert sched.metrics.counter("analyses_run").value == 2
+
+
+def test_run_batch_falls_back_to_threads_audibly(tmp_path, monkeypatch):
+    """A batch whose process engine cannot start runs on threads, bumps
+    the executor_fallbacks counter, warns once and hands the reason to
+    the run ledger."""
+
+    def no_processes(*args, **kwargs):
+        raise RuntimeError("injected: no processes here")
+
+    monkeypatch.setattr(shard, "run_sharded_batch", no_processes)
+    monkeypatch.setattr(parallel, "_fallback_warned", False)
+    counter = global_registry().counter("executor_fallbacks")
+    before = counter.value
+    meta: dict = {}
+    sched = JobScheduler(ResultStore(tmp_path / "s"), workers=2,
+                         executor="process")
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records = sched.run_batch(["diode"], out_meta=meta)
+            sched.run_batch(["diode"])
+    finally:
+        sched.shutdown()
+    assert [r["status"] for r in records] == ["done"]
+    assert counter.value == before + 2
+    assert sum("falling back" in str(w.message) for w in caught) == 1
+    assert meta["fallback_reasons"] == ["injected: no processes here"]
+
+
+def test_start_method_env_override(monkeypatch):
+    if "spawn" not in multiprocessing.get_all_start_methods():
+        pytest.skip("spawn unavailable")
+    monkeypatch.setenv("REPRO_START_METHOD", "spawn")
+    assert default_start_method() == "spawn"
+    monkeypatch.setenv("REPRO_START_METHOD", "not-a-method")
+    assert default_start_method() is None
 
 
 def test_run_batch_rejects_unknown_target_upfront(tmp_path):

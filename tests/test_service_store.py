@@ -31,10 +31,9 @@ class TestCacheKey:
     def test_execution_knobs_do_not_shard_the_cache(self):
         base = AnalysisConfig()
         for variant in (
-            AnalysisConfig(workers=8),
-            AnalysisConfig(workers=0),
-            AnalysisConfig(executor="process"),
-            AnalysisConfig(workers=4, executor="process"),
+            AnalysisConfig(mode="targeted"),
+            AnalysisConfig(mode="incremental"),
+            AnalysisConfig(record_provenance=True),
         ):
             assert variant.cache_key() == base.cache_key()
 
@@ -49,18 +48,6 @@ class TestCacheKey:
             AnalysisConfig(model_intents=True),
         ):
             assert variant.cache_key() != base.cache_key()
-
-    def test_worker_count_does_not_change_the_report(self):
-        """The contract the shared cache key rests on: serial and parallel
-        engines produce byte-identical reports."""
-        from repro.corpus import build_app
-
-        apk = build_app("radioreddit")
-        serial = Extractocol(AnalysisConfig(workers=1)).analyze(apk)
-        parallel = Extractocol(AnalysisConfig(workers=4)).analyze(apk)
-        assert json.dumps(report_to_dict(serial), sort_keys=True) == json.dumps(
-            report_to_dict(parallel), sort_keys=True
-        )
 
 
 class TestApkDigest:
